@@ -58,7 +58,7 @@ use std::sync::Mutex;
 
 use mpsm_numa::{AccessCounters, CounterScope, NodeId, NumaArena, NumaBuf, Topology};
 
-use crate::sort::{SortScratch, SortTuning};
+use crate::sort::SortTuning;
 use crate::stats::Phase;
 use crate::tuple::Tuple;
 use crate::worker::{SharedWorkerPool, WorkerPlacement};
@@ -110,7 +110,6 @@ pub struct ExecContext {
     policy: AllocPolicy,
     phase_counters: Mutex<[AccessCounters; 4]>,
     sort_tuning: SortTuning,
-    sort_scratch: Vec<Mutex<SortScratch>>,
 }
 
 impl ExecContext {
@@ -159,7 +158,6 @@ impl ExecContext {
     pub fn with_placement(placement: WorkerPlacement, pool: SharedWorkerPool) -> Self {
         assert_eq!(placement.threads(), pool.threads(), "one placed core per pool worker");
         let arena = NumaArena::new(placement.topology().clone());
-        let sort_scratch = (0..pool.threads()).map(|_| Mutex::new(SortScratch::new())).collect();
         ExecContext {
             placement,
             pool,
@@ -167,7 +165,6 @@ impl ExecContext {
             policy: AllocPolicy::WorkerLocal,
             phase_counters: Mutex::new(Default::default()),
             sort_tuning: SortTuning::current(),
-            sort_scratch,
         }
     }
 
@@ -198,7 +195,9 @@ impl ExecContext {
     /// Derive a context for one owner (e.g. one scheduled query): same
     /// workers and placement, phases tagged with `owner` on the pool,
     /// fresh counters and arena so the audit is attributable to this
-    /// owner alone.
+    /// owner alone. Sort scratch is not per context: every derived
+    /// context sorts with its pool workers' own (see
+    /// [`ExecContext::sort_run`]).
     pub fn for_owner(&self, owner: u64) -> ExecContext {
         ExecContext {
             placement: self.placement.clone(),
@@ -207,12 +206,6 @@ impl ExecContext {
             policy: self.policy,
             phase_counters: Mutex::new(Default::default()),
             sort_tuning: self.sort_tuning,
-            // Fresh per-worker scratch: queries derived from one base
-            // context run concurrently on the shared pool, and sharing
-            // scratch would serialize their sort phases on its locks.
-            sort_scratch: (0..self.pool.threads())
-                .map(|_| Mutex::new(SortScratch::new()))
-                .collect(),
         }
     }
 
@@ -233,9 +226,6 @@ impl ExecContext {
             policy: self.policy,
             phase_counters: Mutex::new(Default::default()),
             sort_tuning: self.sort_tuning,
-            sort_scratch: (0..self.pool.threads())
-                .map(|_| Mutex::new(SortScratch::new()))
-                .collect(),
         }
     }
 
@@ -319,11 +309,15 @@ impl ExecContext {
         run
     }
 
-    /// Sort `run` in place with this context's [`SortTuning`] and
-    /// worker `w`'s reusable scratch, recording the traffic against
+    /// Sort `run` in place with this context's [`SortTuning`] and the
+    /// calling thread's reusable scratch, recording the traffic against
     /// `home` — the one sort entry point of every execution path, so
     /// the kernel choice and the allocation-free leaves apply to all
-    /// MPSM variants and the scheduler alike.
+    /// MPSM variants and the scheduler alike. Pool workers are
+    /// persistent threads, so each worker's scratch lives as long as
+    /// the pool; a sort off the pool (a coordinator's delta run) uses
+    /// its own thread's. `worker` is the index of the worker the run
+    /// belongs to; the scratch does not depend on it.
     pub fn sort_run(
         &self,
         worker: usize,
@@ -331,14 +325,8 @@ impl ExecContext {
         home: NodeId,
         scope: &mut CounterScope,
     ) {
-        let mut scratch = self.sort_scratch[worker].lock().expect("sort scratch poisoned");
-        crate::sort::three_phase_sort_tuned_audited(
-            run,
-            home,
-            scope,
-            &self.sort_tuning,
-            &mut scratch,
-        );
+        debug_assert!(worker < self.threads(), "worker {worker} outside the pool");
+        crate::sort::three_phase_sort_audited(run, home, scope, &self.sort_tuning);
     }
 
     /// Merge per-worker counters into the context's tally for `phase`.

@@ -25,7 +25,7 @@
 //!   truncating at `n` — a real `u64::MAX`-keyed tuple can never lose
 //!   its payload to a sentinel (see `unpad_into`).
 //! * **The scratch is reusable.** Hot paths thread a [`SortScratch`]
-//!   (per worker, via `ExecContext`) so non-power-of-two leaves — i.e.
+//!   (one per sorting thread) so non-power-of-two leaves — i.e.
 //!   almost every radix bucket — allocate nothing after warmup.
 //!
 //! Entry points: [`bitonic_sort_with`] (any slice, caller scratch),
@@ -48,8 +48,8 @@ pub const BITONIC_BLOCK: usize = 32;
 pub(crate) const PAD: Tuple = Tuple::new(u64::MAX, u64::MAX);
 
 /// Reusable scratch for the padded network and the SIMD SoA staging.
-/// One per worker, threaded through `ExecContext`, so recursion leaves
-/// never allocate. All buffers grow to the largest block seen and stay.
+/// One per sorting thread (see `three_phase_sort_audited`), so
+/// recursion leaves never allocate. All buffers grow to the largest block seen and stay.
 #[derive(Debug, Default)]
 pub struct SortScratch {
     /// Padded AoS staging for the scalar network.
@@ -61,8 +61,8 @@ pub struct SortScratch {
     #[cfg_attr(not(all(feature = "simd-sort", target_arch = "x86_64")), allow(dead_code))]
     pub(crate) payloads: Vec<u64>,
     /// Ping-pong buffer for the out-of-place radix scatter; grows to
-    /// the largest run the worker sorts and stays (the point of
-    /// per-worker scratch: the 16 bytes/tuple are paid once, not per
+    /// the largest run the thread sorts and stays (the point of
+    /// reusable scratch: the 16 bytes/tuple are paid once, not per
     /// sort call).
     pub(crate) aux: Vec<Tuple>,
 }

@@ -39,7 +39,7 @@
 //!   [`tuning::SortTuning`] (threshold + kernel + provenance): the
 //!   paper's introsort+insertion, a branch-free scalar bitonic network
 //!   ([`bitonic`]), or a feature-gated AVX2 network ([`simd`]). The
-//!   network kernels thread a per-worker [`bitonic::SortScratch`]
+//!   network kernels thread a reusable [`bitonic::SortScratch`]
 //!   through the recursion so leaves never allocate. See
 //!   [`three_phase_sort_tuned`] and the `SortTuning::auto_tune` sweep.
 //!
@@ -81,10 +81,11 @@ pub const INSERTION_CUTOFF: usize = 16;
 pub const CACHE_RESIDENT_TUPLES: usize = (32 * 1024) / std::mem::size_of::<Tuple>();
 
 thread_local! {
-    /// Scratch for the classic (non-`ExecContext`) entry points, so
-    /// callers of the plain [`three_phase_sort`] get allocation-free
-    /// network leaves too. Executor paths thread per-worker scratch
-    /// explicitly instead.
+    /// The sort scratch of every thread that sorts: the radix ping-pong
+    /// buffer and the network leaves' staging. It grows to the largest
+    /// run the thread has sorted and stays, so a pool worker (a
+    /// persistent thread) pays the allocation once per pool, not once
+    /// per query, and threads never share or wait on it.
     static TLS_SCRATCH: RefCell<SortScratch> = RefCell::new(SortScratch::new());
 }
 
@@ -112,8 +113,8 @@ pub fn three_phase_sort(tuples: &mut [Tuple]) {
 }
 
 /// [`three_phase_sort`] with an explicit kernel choice and caller
-/// scratch — the executor entry point (`ExecContext` threads its own
-/// [`SortTuning`] and per-worker [`SortScratch`] through here).
+/// scratch (benches and the tuning sweep hold their own
+/// [`SortScratch`]; join paths go through [`three_phase_sort_audited`]).
 pub fn three_phase_sort_tuned(
     tuples: &mut [Tuple],
     tuning: &SortTuning,
@@ -311,31 +312,23 @@ fn leaf_finish(bucket: &mut [Tuple], tuning: &SortTuning, scratch: &mut SortScra
     }
 }
 
-/// [`three_phase_sort`] with its traffic recorded against the run's
-/// `home` node: `len` sequential reads plus `len` random writes (the
-/// in-place permutation). The random writes are why commandment C1
-/// demands runs be sorted in *local* RAM — on a worker whose node is
-/// not `home` they show up as remote random accesses, the most
-/// expensive kind in the Figure 1 model.
-pub fn three_phase_sort_audited(run: &mut [Tuple], home: NodeId, scope: &mut CounterScope) {
-    scope.touch(home, true, run.len() as u64);
-    scope.touch(home, false, run.len() as u64);
-    three_phase_sort(run);
-}
-
-/// [`three_phase_sort_audited`] with an explicit tuning and caller
-/// scratch — what `ExecContext::sort_run` uses so every MPSM variant
-/// sorts with the context's kernel and per-worker scratch.
-pub fn three_phase_sort_tuned_audited(
+/// [`three_phase_sort_tuned`] with `tuning`, the calling thread's
+/// scratch, and its traffic recorded against the run's `home` node:
+/// `len` sequential reads plus `len` random writes (the in-place
+/// permutation). The random writes are why commandment C1 demands runs
+/// be sorted in *local* RAM — on a worker whose node is not `home` they
+/// show up as remote random accesses, the most expensive kind in the
+/// Figure 1 model. What `ExecContext::sort_run` uses, so every MPSM
+/// variant sorts with the context's kernel.
+pub fn three_phase_sort_audited(
     run: &mut [Tuple],
     home: NodeId,
     scope: &mut CounterScope,
     tuning: &SortTuning,
-    scratch: &mut SortScratch,
 ) {
     scope.touch(home, true, run.len() as u64);
     scope.touch(home, false, run.len() as u64);
-    three_phase_sort_tuned(run, tuning, scratch);
+    TLS_SCRATCH.with(|s| three_phase_sort_tuned(run, tuning, &mut s.borrow_mut()));
 }
 
 /// The seed's literal three-phase sort: one radix pass, coarse

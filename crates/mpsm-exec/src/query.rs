@@ -99,8 +99,11 @@ where
     PR: Fn(&Tuple) -> bool + Sync,
     PS: Fn(&Tuple) -> bool + Sync,
 {
-    paper_query_in(&ExecContext::over_pool(pool), r, s, r_pred, s_pred, algorithm)
+    paper_query_in(&ExecContext::over_pool(pool), r, s, Some(&r_pred), Some(&s_pred), algorithm)
 }
+
+/// A selection predicate borrowed for one execution.
+type PredicateRef<'a> = &'a (dyn Fn(&Tuple) -> bool + Sync);
 
 /// [`paper_query`] inside an [`ExecContext`] — the unified execution
 /// path: selections and join phases run on the context's pool, run and
@@ -108,30 +111,34 @@ where
 /// `Placement` node reports which node the query was pinned to (if any)
 /// plus the audited local/remote split of the join's memory traffic.
 ///
+/// A side with a predicate is materialized by a [`Select`] phase; a
+/// side without one (`None`) is joined straight from
+/// [`Relation::tuples`], so an unfiltered query copies its inputs only
+/// where the join itself does (phase 1's runs, phase 2's partitions).
+///
 /// One context should serve one query (the scheduler derives a fresh
 /// context per admitted query); reusing a context accumulates counters
 /// across executions and the placement line reports the mix.
-pub fn paper_query_in<J, PR, PS>(
+pub fn paper_query_in<J: JoinAlgorithm>(
     cx: &ExecContext,
     r: &Relation,
     s: &Relation,
-    r_pred: PR,
-    s_pred: PS,
+    r_pred: Option<PredicateRef<'_>>,
+    s_pred: Option<PredicateRef<'_>>,
     algorithm: &J,
-) -> PaperQueryResult
-where
-    J: JoinAlgorithm,
-    PR: Fn(&Tuple) -> bool + Sync,
-    PS: Fn(&Tuple) -> bool + Sync,
-{
-    let r_sel = Select::new(r, r_pred).execute_in(cx);
-    let s_sel = Select::new(s, s_pred).execute_in(cx);
+) -> PaperQueryResult {
+    let select = |rel: &Relation, pred: Option<PredicateRef<'_>>| {
+        pred.map(|pred| Select::new(rel, pred).execute_in(cx))
+    };
+    let (r_sel, s_sel) = (select(r, r_pred), select(s, s_pred));
+    let r_rows = r_sel.as_deref().unwrap_or(r.tuples());
+    let s_rows = s_sel.as_deref().unwrap_or(s.tuples());
     let join = JoinOp::new(algorithm);
-    let (max, stats) = MaxPayloadSum::over_in(cx, &join, &r_sel, &s_sel);
+    let (max, stats) = MaxPayloadSum::over_in(cx, &join, r_rows, s_rows);
     let mut out =
-        assemble(algorithm.name(), cx.threads(), r, s, r_sel.len(), s_sel.len(), max, stats);
+        assemble(algorithm.name(), cx.threads(), r, s, r_rows.len(), s_rows.len(), max, stats);
     out.plan.phases_ms = Some(out.stats.phases_ms());
-    out.plan.phase_tuples = Some((r_sel.len() + s_sel.len()) as u64);
+    out.plan.phase_tuples = Some((r_rows.len() + s_rows.len()) as u64);
     out.plan.sort_kernel = Some(cx.sort_tuning().describe());
     out.plan.placement = Some(placement_of(cx));
     out
@@ -781,7 +788,7 @@ mod tests {
         let algo = PMpsmJoin::new(JoinConfig::with_threads(4));
         // Spread over the paper machine: workers on all four sockets.
         let cx = ExecContext::new(Topology::paper_machine(), 4);
-        let out = paper_query_in(&cx, &r, &s, |_| true, |_| true, &algo);
+        let out = paper_query_in(&cx, &r, &s, None, None, &algo);
         let placement = out.plan.placement.clone().expect("context queries report placement");
         assert_eq!(placement.node, None, "4 workers round-robin over 4 sockets");
         assert!(placement.remote_pct > 0.0, "cross-socket scatter traffic exists");
@@ -789,7 +796,7 @@ mod tests {
         // Pinned to one node: everything except the interleaved
         // base-table reads is local, so locality beats the spread run.
         let pinned = cx.pinned_to(NodeId(1));
-        let out = paper_query_in(&pinned, &r, &s, |_| true, |_| true, &algo);
+        let out = paper_query_in(&pinned, &r, &s, None, None, &algo);
         let pinned_placement = out.plan.placement.clone().expect("placement");
         assert_eq!(pinned_placement.node, Some(1));
         assert!(

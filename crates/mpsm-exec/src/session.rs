@@ -219,8 +219,9 @@ impl JoinSpec {
                 spec: &QuerySpec,
                 algorithm: &J,
             ) -> PaperQueryResult {
-                let (r_pred, s_pred) = (&spec.r_pred, &spec.s_pred);
-                paper_query_in(cx, &spec.r, &spec.s, |t| r_pred(t), |t| s_pred(t), algorithm)
+                let r_pred = spec.r_filtered.then_some(&*spec.r_pred as _);
+                let s_pred = spec.s_filtered.then_some(&*spec.s_pred as _);
+                paper_query_in(cx, &spec.r, &spec.s, r_pred, s_pred, algorithm)
             }
             match self {
                 JoinSpec::PMpsm(cfg) => go(cx, spec, &PMpsmJoin::new(cfg.clone())),

@@ -17,6 +17,8 @@
 //!    write prefix (cardinality and content must agree on *how many*
 //!    writes the snapshot saw).
 
+use std::sync::Arc;
+
 use mpsm::core::Tuple;
 use mpsm::exec::{CompactionConfig, QuerySpec, Relation, RunCacheConfig, SchedulerConfig, Session};
 use proptest::prelude::*;
@@ -395,4 +397,102 @@ fn delete_restore_races_expose_only_legal_worlds() {
         }
         writer.join().expect("writer panicked");
     });
+}
+
+/// A latch the test opens once; until then `wait` blocks.
+#[derive(Default)]
+struct Gate {
+    open: std::sync::Mutex<bool>,
+    cv: std::sync::Condvar,
+}
+
+impl Gate {
+    fn wait(&self) {
+        let mut open = self.open.lock().expect("gate poisoned");
+        while !*open {
+            open = self.cv.wait(open).expect("gate poisoned");
+        }
+    }
+
+    fn open(&self) {
+        *self.open.lock().expect("gate poisoned") = true;
+        self.cv.notify_all();
+    }
+}
+
+/// A snapshot query sorts its delta run on its coordinator thread, off
+/// the pool. That sort must not wait on anything a pool phase holds,
+/// such as a worker's sort scratch, nor disturb it: here a long join's
+/// selection holds both pool workers, and the snapshot query must still
+/// get past its delta sort to queue its merge. Afterwards the long
+/// join's own sorts on those workers must still give the right answer.
+#[test]
+fn off_pool_delta_sort_runs_while_a_long_join_holds_the_pool() {
+    const R_LEN: u64 = 1 << 15;
+    const S_LEN: u64 = 1 << 17;
+    let session = manual_session(2);
+    let pool = session.scheduler().pool().clone();
+    let big_r =
+        session.register(Relation::new("BigR", (0..R_LEN).map(|k| Tuple::new(k, k)).collect()));
+    let big_s = session
+        .register(Relation::new("BigS", (0..S_LEN).map(|i| Tuple::new(i % R_LEN, i)).collect()));
+    // The largest even-keyed S payload sits on key R_LEN - 2.
+    let big_max = Some((S_LEN - 2) + (R_LEN - 2));
+
+    let mut next = lcg(77);
+    let base: Vec<Tuple> = (0..1024).map(|k| Tuple::new(k, k)).collect();
+    let adds: Vec<Tuple> = (0..2000).map(|i| Tuple::new(next() % 1024, 10_000 + i)).collect();
+    let d = session.register(Relation::new("D", base.clone()));
+    let e = session.register(Relation::new("E", base.clone()));
+    // Warm the run cache for both clean bases, so the snapshot query's
+    // first pool phase is its merge, after the delta sort.
+    session.query(QuerySpec::join(&d, &e)).expect("warm-up query");
+    session.append("D", adds.iter().copied()).expect("registered");
+    let delta_max = oracle_max(&[base.clone(), adds].concat(), &base);
+
+    let gate = Arc::new(Gate::default());
+    let held = Arc::clone(&gate);
+    let long = session
+        .submit(QuerySpec::join(&big_r, &big_s).filter_s(move |t| {
+            held.wait();
+            t.key % 2 == 0
+        }))
+        .expect("admitted");
+    let spin_until = |phases: u64, what: &str| {
+        let start = std::time::Instant::now();
+        while pool.pending_phases() < phases {
+            assert!(start.elapsed().as_secs() < 60, "{what}");
+            std::thread::yield_now();
+        }
+    };
+    spin_until(1, "the long join never reached the pool");
+    let delta = session.submit(QuerySpec::join(&d, &e)).expect("admitted");
+    // The snapshot query queues its merge only after sorting its delta
+    // run; the long join's selection still holds the pool.
+    spin_until(2, "the delta query never queued its merge: its off-pool sort blocked");
+    gate.open();
+
+    let out = delta.wait().expect("delta query");
+    assert_eq!(out.result.max_payload_sum, delta_max);
+    assert_eq!(out.result.r_selected, 3024);
+    assert!(
+        out.result.plan.snapshots.iter().any(|s| s.side == "R" && s.delta == 2000),
+        "the query did not read the pending delta"
+    );
+    let out = long.wait().expect("long join");
+    assert_eq!(out.result.max_payload_sum, big_max);
+    assert_eq!(out.result.s_selected as u64, S_LEN / 2);
+
+    // Unforced overlap: both queries' sorts run side by side, on and
+    // off the pool, and every answer still matches its oracle.
+    for round in 0..3 {
+        let long = session
+            .submit(QuerySpec::join(&big_r, &big_s).filter_s(|t| t.key % 2 == 0))
+            .expect("admitted");
+        let delta = session.submit(QuerySpec::join(&d, &e)).expect("admitted");
+        let out = delta.wait().unwrap_or_else(|err| panic!("round {round} delta: {err}"));
+        assert_eq!(out.result.max_payload_sum, delta_max, "round {round} delta");
+        let out = long.wait().unwrap_or_else(|err| panic!("round {round} long join: {err}"));
+        assert_eq!(out.result.max_payload_sum, big_max, "round {round} long join");
+    }
 }
